@@ -8,7 +8,8 @@ recorded alongside the current numbers:
 
 - the **legacy codec** (the original recursive, if-chain implementation)
   is carried inside this module as a reference and measured in the same
-  run, so the codec speedup is host-independent and asserted (≥ 2×);
+  run, timed in interleaved new/legacy pairs, so the codec speedup
+  (the median per-pair ratio) is host-independent and asserted (≥ 2×);
 - end-to-end numbers are compared against
   ``benchmarks/baseline_hotpaths.json``, measured on the pre-PR tree —
   both numbers land in ``BENCH_hotpaths.json``, the comparison is
@@ -26,6 +27,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import struct
 import sys
 import tempfile
@@ -165,13 +167,40 @@ def _codec_workload():
     ]
 
 
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def _throughput(fn, reps: int = 5) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return min(_timed(fn) for _ in range(reps))
+
+
+def _paired_times(new_fn, legacy_fn, pairs: int = 9):
+    """Time ``new_fn`` and ``legacy_fn`` in interleaved pairs.
+
+    Each pair runs both back to back, alternating which goes first, so
+    a burst of host load lands on both sides of a pair instead of on one
+    whole phase.  Returns the median per-pair ``legacy / new`` ratio and
+    the median time of each side.
+    """
+    ratios, new_s, legacy_s = [], [], []
+    for i in range(pairs):
+        if i % 2:
+            legacy_t = _timed(legacy_fn)
+            new_t = _timed(new_fn)
+        else:
+            new_t = _timed(new_fn)
+            legacy_t = _timed(legacy_fn)
+        ratios.append(legacy_t / new_t)
+        new_s.append(new_t)
+        legacy_s.append(legacy_t)
+    return (
+        statistics.median(ratios),
+        statistics.median(new_s),
+        statistics.median(legacy_s),
+    )
 
 
 def test_bench_codec(benchmark):
@@ -198,10 +227,8 @@ def test_bench_codec(benchmark):
         for raw in raws:
             _legacy_decode_chunk(raw)
 
-    enc_s = _throughput(encode_all)
-    dec_s = _throughput(decode_all)
-    legacy_enc_s = _throughput(legacy_encode_all)
-    legacy_dec_s = _throughput(legacy_decode_all)
+    enc_speedup, enc_s, legacy_enc_s = _paired_times(encode_all, legacy_encode_all)
+    dec_speedup, dec_s, legacy_dec_s = _paired_times(decode_all, legacy_decode_all)
     run_once(benchmark, encode_all)
 
     payload = {
@@ -210,8 +237,8 @@ def test_bench_codec(benchmark):
         "decode_MBps": round(total_bytes / dec_s / 1e6, 2),
         "legacy_encode_MBps": round(total_bytes / legacy_enc_s / 1e6, 2),
         "legacy_decode_MBps": round(total_bytes / legacy_dec_s / 1e6, 2),
-        "encode_speedup": round(legacy_enc_s / enc_s, 2),
-        "decode_speedup": round(legacy_dec_s / dec_s, 2),
+        "encode_speedup": round(enc_speedup, 2),
+        "decode_speedup": round(dec_speedup, 2),
         "pre_pr_baseline": _baseline("codec"),
     }
     _record("codec", payload)

@@ -8,7 +8,14 @@ from repro.mrbgraph.compaction import (
     SizeTieredCompaction,
     compaction_policy,
 )
-from repro.mrbgraph.graph import DeltaEdge, Edge, apply_delta, group_delta_by_key
+from repro.mrbgraph.graph import (
+    DeltaEdge,
+    Edge,
+    apply_delta,
+    edges_from_columns,
+    group_delta_by_key,
+    merge_columns,
+)
 from repro.mrbgraph.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -38,7 +45,9 @@ __all__ = [
     "DeltaEdge",
     "Edge",
     "apply_delta",
+    "edges_from_columns",
     "group_delta_by_key",
+    "merge_columns",
     "MRBGStore",
     "StoreMetrics",
     "RecoveredState",

@@ -19,12 +19,17 @@ constant bytes with six strided ``memoryview`` comparisons and unpack
 every edge in a single ``struct`` call.  Heterogeneous chunks fall back
 to the generic recursive codec; both paths produce and accept byte-
 identical encodings.
+
+The codec's native form is two columns, ``mks`` and ``values``
+(:func:`decode_chunk_columns`, :func:`encode_chunk_columns`), which the
+store's merge path carries end to end; :func:`decode_chunk` and
+:func:`encode_chunk` wrap them for callers that want ``Edge`` lists.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SerializationError
 from repro.common.serialization import (
@@ -39,7 +44,7 @@ from repro.common.serialization import (
     encode_into,
     encoded_size,
 )
-from repro.mrbgraph.graph import Edge
+from repro.mrbgraph.graph import Edge, edges_from_columns
 
 #: Encoded bytes of one flat ``(int, int|float)`` edge: tuple header (5),
 #: tagged i64 MK (9), tagged i64/f64 value (9).
@@ -52,47 +57,62 @@ _EDGE_HEADER = bytes((_TAG_TUPLE, 2, 0, 0, 0, _TAG_INT))
 _FLAT_RUN_MIN = 4
 
 
-def _encode_flat_edges(mks, values, value_tag: int, fmt: str) -> bytearray:
-    """Batch-encode a run of ``(int, int|float)`` edges at 23 bytes each."""
+def _encode_flat_edges(mks: Sequence[Any], values: Sequence[Any]) -> Optional[bytearray]:
+    """Batch-encode a flat edge run at 23 bytes per edge (None if not flat)."""
     n = len(mks)
+    if n < _FLAT_RUN_MIN or set(map(type, mks)) != {int}:
+        return None
+    value_types = set(map(type, values))
+    if value_types == {float}:
+        value_tag, fmt = _TAG_FLOAT, "<%dd"
+    elif value_types == {int}:
+        value_tag, fmt = _TAG_INT, "<%dq"
+    else:
+        return None
+    try:
+        packed_mk = struct.pack("<%dq" % n, *mks)
+        packed_v = struct.pack(fmt % n, *values)
+    except struct.error:
+        return None  # an int overflowed i64: the generic path reports it
     out = bytearray(_FLAT_EDGE_BYTES * n)
     out[0::23] = bytes([_TAG_TUPLE]) * n
     out[1::23] = b"\x02" * n  # u32 little-endian count 2; bytes 2-4 stay 0
     out[5::23] = bytes([_TAG_INT]) * n
-    packed_mk = struct.pack("<%dq" % n, *mks)
     for i in range(8):
         out[6 + i :: 23] = packed_mk[i::8]
     out[14::23] = bytes([value_tag]) * n
-    packed_v = struct.pack(fmt % n, *values)
     for i in range(8):
         out[15 + i :: 23] = packed_v[i::8]
     return out
 
 
-def encode_chunk(k2: Any, entries: List[Edge]) -> bytes:
-    """Encode one chunk to its on-disk representation."""
-    body = bytearray()
+def encode_chunk_columns(k2: Any, mks: Sequence[Any], values: Sequence[Any]) -> bytes:
+    """Encode one chunk from its edge columns (``mks[i]`` pairs ``values[i]``).
+
+    The columnar form the merge path carries: no per-edge objects are
+    built.  Produces exactly the bytes of :func:`encode_chunk` on the
+    zipped edges.
+    """
+    body = bytearray(4)  # room for the u32 body length, filled last
     body.append(_TAG_TUPLE)
     body += _U32.pack(2)
     encode_into(k2, body)
     body.append(_TAG_LIST)
-    body += _U32.pack(len(entries))
-    if len(entries) >= _FLAT_RUN_MIN:
-        mks, values = zip(*entries)
-        if set(map(type, mks)) == {int}:
-            value_types = set(map(type, values))
-            try:
-                if value_types == {float}:
-                    body += _encode_flat_edges(mks, values, _TAG_FLOAT, "<%dd")
-                    return _U32.pack(len(body)) + bytes(body)
-                if value_types == {int}:
-                    body += _encode_flat_edges(mks, values, _TAG_INT, "<%dq")
-                    return _U32.pack(len(body)) + bytes(body)
-            except struct.error:
-                pass  # an int overflowed i64: the generic path reports it
-    for entry in entries:
-        encode_into(tuple(entry), body)
-    return _U32.pack(len(body)) + bytes(body)
+    body += _U32.pack(len(mks))
+    flat = _encode_flat_edges(mks, values)
+    if flat is not None:
+        body += flat
+    else:
+        for edge in zip(mks, values):
+            encode_into(edge, body)
+    _U32.pack_into(body, 0, len(body) - 4)
+    return bytes(body)
+
+
+def encode_chunk(k2: Any, entries: List[Edge]) -> bytes:
+    """Encode one chunk to its on-disk representation."""
+    mks, values = zip(*entries) if entries else ((), ())
+    return encode_chunk_columns(k2, mks, values)
 
 
 def _decode_flat_edges(mv: memoryview, start: int, count: int):
@@ -109,14 +129,16 @@ def _decode_flat_edges(mv: memoryview, start: int, count: int):
         flat = struct.unpack("<" + "6xq1xq" * count, mv[start:end])
     else:
         return None
-    return list(map(Edge, flat[0::2], flat[1::2]))
+    return flat[0::2], flat[1::2]
 
 
-def decode_chunk(buf, offset: int = 0) -> Tuple[Any, List[Edge], int]:
-    """Decode one chunk from ``buf`` at ``offset``.
+def decode_chunk_columns(buf, offset: int = 0) -> Tuple[Any, Sequence[Any], Sequence[Any], int]:
+    """Decode one chunk from ``buf`` at ``offset`` into edge columns.
 
     Returns:
-        ``(k2, entries, next_offset)``.
+        ``(k2, mks, values, next_offset)``; ``mks[i]`` pairs
+        ``values[i]``.  Flat chunks unpack straight into two tuples, so
+        no per-edge object is built.
 
     Raises:
         SerializationError: on corrupt bytes or a non-chunk record.
@@ -139,22 +161,34 @@ def decode_chunk(buf, offset: int = 0) -> Tuple[Any, List[Edge], int]:
             (count,) = _U32.unpack_from(mv, pos + 1)
             payload_start = pos + 5
             if count and end - payload_start == _FLAT_EDGE_BYTES * count:
-                entries = _decode_flat_edges(mv, payload_start, count)
-                if entries is not None:
-                    return k2, entries, end
+                columns = _decode_flat_edges(mv, payload_start, count)
+                if columns is not None:
+                    return k2, columns[0], columns[1], end
     return _decode_chunk_generic(mv, offset)
 
 
-def _decode_chunk_generic(mv: memoryview, offset: int) -> Tuple[Any, List[Edge], int]:
+def decode_chunk(buf, offset: int = 0) -> Tuple[Any, List[Edge], int]:
+    """Decode one chunk from ``buf`` at ``offset``.
+
+    Returns:
+        ``(k2, entries, next_offset)``.
+
+    Raises:
+        SerializationError: on corrupt bytes or a non-chunk record.
+    """
+    k2, mks, values, next_offset = decode_chunk_columns(buf, offset)
+    return k2, edges_from_columns(mks, values), next_offset
+
+
+def _decode_chunk_generic(mv: memoryview, offset: int) -> Tuple[Any, tuple, tuple, int]:
     k2, payload, next_offset = decode_record(mv, offset)
     if not isinstance(payload, list):
         raise SerializationError("chunk payload is not an edge list")
-    entries = []
     for item in payload:
         if not isinstance(item, tuple) or len(item) != 2:
             raise SerializationError("chunk edge is not an (mk, value) pair")
-        entries.append(Edge(item[0], item[1]))
-    return k2, entries, next_offset
+    mks, values = zip(*payload) if payload else ((), ())
+    return k2, mks, values, next_offset
 
 
 def chunk_size(k2: Any, entries: List[Edge]) -> int:

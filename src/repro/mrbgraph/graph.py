@@ -9,7 +9,8 @@ additionally marks each edge as inserted or deleted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.common.kvpair import Op, sort_key
 
@@ -21,6 +22,16 @@ class Edge(NamedTuple):
     value: Any
 
 
+def edges_from_columns(mks: Iterable[int], values: Iterable[Any]) -> List[Edge]:
+    """Zip ``(mks, values)`` columns into an edge list.
+
+    Builds each :class:`Edge` with the C-level ``tuple.__new__`` (what
+    ``Edge._make`` does underneath), skipping the Python-level
+    ``Edge.__new__`` that ``Edge(mk, value)`` runs per edge.
+    """
+    return list(map(tuple.__new__, repeat(Edge), zip(mks, values)))
+
+
 class DeltaEdge(NamedTuple):
     """A change to the MRBGraph: an inserted or deleted edge."""
 
@@ -29,24 +40,39 @@ class DeltaEdge(NamedTuple):
     op: Op
 
 
+def merge_columns(
+    mks: Sequence[int],
+    values: Sequence[Any],
+    delta_entries: Iterable[DeltaEdge],
+) -> Tuple[List[int], List[Any]]:
+    """Merge delta edges into a chunk held as two columns (§3.3).
+
+    ``mks[i]`` pairs ``values[i]``.  For each deletion the matching saved
+    edge (by MK) is removed; for each insertion the engine "first checks
+    duplicates, and inserts the new edge if no duplicate exists, or else
+    updates the old edge" — ``(K2, MK)`` uniquely identifies an edge.
+    Returns the merged ``(mks, values)`` columns sorted by MK.
+    """
+    merged: Dict[int, Any] = dict(zip(mks, values))
+    for mk, value, op in delta_entries:
+        if op is Op.DELETE:
+            merged.pop(mk, None)
+        else:
+            merged[mk] = value
+    order = sorted(merged)
+    return order, list(map(merged.__getitem__, order))
+
+
 def apply_delta(
     old_entries: List[Edge],
     delta_entries: Iterable[DeltaEdge],
 ) -> List[Edge]:
     """Merge delta edges into a chunk's preserved edge list (§3.3).
 
-    For each deletion the matching saved edge (by MK) is removed; for each
-    insertion the engine "first checks duplicates, and inserts the new edge
-    if no duplicate exists, or else updates the old edge" — ``(K2, MK)``
-    uniquely identifies an edge.
+    The edge-list form of :func:`merge_columns`, which holds the rule.
     """
-    merged: Dict[int, Any] = {mk: value for mk, value in old_entries}
-    for mk, value, op in delta_entries:
-        if op is Op.DELETE:
-            merged.pop(mk, None)
-        else:
-            merged[mk] = value
-    return [Edge(mk, merged[mk]) for mk in sorted(merged)]
+    mks, values = zip(*old_entries) if old_entries else ((), ())
+    return edges_from_columns(*merge_columns(mks, values, delta_entries))
 
 
 def group_delta_by_key(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.costmodel import CostModel
 from repro.common import config
@@ -34,14 +34,14 @@ from repro.common.errors import StoreClosedError, StoreError
 from repro.common.kvpair import sort_key
 from repro.common.serialization import decode_many, encode_many
 from repro.faults.injection import CrashDirective, InjectedCrash
-from repro.mrbgraph.chunk import decode_chunk, encode_chunk
+from repro.mrbgraph.chunk import decode_chunk_columns, encode_chunk, encode_chunk_columns
 from repro.mrbgraph.compaction import (
     CompactionSpec,
     CompactionStats,
     compaction_policy,
     stats_for_index,
 )
-from repro.mrbgraph.graph import DeltaEdge, Edge, apply_delta
+from repro.mrbgraph.graph import DeltaEdge, Edge, edges_from_columns, merge_columns
 from repro.mrbgraph.wal import (
     OP_BEGIN,
     OP_COMMIT,
@@ -664,6 +664,13 @@ class MRBGStore:
         Reads go through the read cache; on a miss the window policy plans
         a physical read that may prefetch upcoming queried chunks.
         """
+        columns = self._read_columns(key)
+        if columns is None:
+            return None
+        return edges_from_columns(*columns)
+
+    def _read_columns(self, key: Any) -> Optional[Tuple[Sequence[Any], Sequence[Any]]]:
+        """The ``(mks, values)`` columns of ``key``'s chunk (None if absent)."""
         self._check_open()
         loc = self._index.get(key)
         if loc is None:
@@ -677,15 +684,15 @@ class MRBGStore:
                 # chunk is sliced at its relative offset, never copied and
                 # never re-read from the start of the window.
                 self.metrics.cache_hits += 1
-                _, entries, _ = decode_chunk(view, loc.offset - start)
-                return entries
+                _, mks, values, _ = decode_chunk_columns(view, loc.offset - start)
+                return mks, values
         self.metrics.cache_misses += 1
         upcoming = self._upcoming_in_batch(key, loc)
         plan = self.policy.plan(loc, upcoming, self._file_size)
         view = memoryview(self._physical_read(plan.offset, plan.nbytes))
         self._windows[slot] = (plan.offset, view)
-        _, entries, _ = decode_chunk(view, loc.offset - plan.offset)
-        return entries
+        _, mks, values, _ = decode_chunk_columns(view, loc.offset - plan.offset)
+        return mks, values
 
     def _upcoming_in_batch(self, key: Any, loc: ChunkLocation) -> List[ChunkLocation]:
         slot = self._plan_key_slot.get(key)
@@ -711,10 +718,13 @@ class MRBGStore:
         the flushed write (``chunk_size`` exists for callers that need
         the size without a buffer at all).
         """
+        self._stage_chunk(key, encode_chunk(key, entries))
+
+    def _stage_chunk(self, key: Any, raw: bytes) -> None:
+        """Journal and buffer one encoded chunk, flushing a full buffer."""
         self._check_open()
         if not self._in_session:
             raise StoreError("put_chunk outside a merge session")
-        raw = encode_chunk(key, entries)
         self._wal_append(OP_PUT, key, raw)
         offset = self._file_size + self._buffer_len
         self._buffer.append(raw)
@@ -793,18 +803,22 @@ class MRBGStore:
         the merged chunk is re-appended (or deleted when it became empty),
         and the merged edge list is yielded so the caller can re-run the
         Reduce instance.
+
+        The chunk travels as ``(mks, values)`` columns from decode through
+        :func:`~repro.mrbgraph.graph.merge_columns` to re-encode; the
+        yielded edge list is the only per-edge object built.
         """
         delta_list = list(delta_by_key)
         self.begin_merge([k2 for k2, _ in delta_list])
         try:
             for k2, delta_edges in delta_list:
-                old = self.get_chunk(k2) or []
-                merged = apply_delta(old, delta_edges)
-                if merged:
-                    self.put_chunk(k2, merged)
+                old = self._read_columns(k2) or ((), ())
+                mks, values = merge_columns(*old, delta_edges)
+                if mks:
+                    self._stage_chunk(k2, encode_chunk_columns(k2, mks, values))
                 else:
                     self.delete_chunk(k2)
-                yield k2, merged
+                yield k2, edges_from_columns(mks, values)
         finally:
             self.end_merge()
 

@@ -94,6 +94,8 @@ class ResultCache:
         self._ranged: Set[str] = set()
         #: signatures of entries invalidated by any change (top-k).
         self._global: Set[str] = set()
+        #: newest epoch whose invalidation has started; older puts are stale.
+        self._invalidated_epoch = -1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -131,17 +133,17 @@ class ResultCache:
         """Insert a result computed at ``epoch``; returns acceptance.
 
         The put is *rejected* when a newer epoch has already published
-        (``epoch < latest_epoch``): the invalidation for that publish
-        has already run, so accepting the entry could cache an answer
-        the delta just made stale.  The caller passes the manager's
-        current latest epoch, read under no lock — monotonicity makes
-        the race benign (a concurrent publish only makes the check
-        stricter).
+        (``epoch < latest_epoch``) or has begun invalidating (see
+        :meth:`on_snapshot`): that invalidation may already have run, so
+        accepting the entry could cache an answer the delta just made
+        stale.  ``latest_epoch`` is the manager's, read under no lock;
+        the cache's own invalidation watermark, checked under the cache
+        lock, covers a publish that lands between that read and this put.
         """
         if self.capacity == 0:
             return False
         with self._lock:
-            if epoch < latest_epoch:
+            if epoch < max(latest_epoch, self._invalidated_epoch):
                 self.stats.stale_puts += 1
                 return False
             if sig in self._entries:
@@ -204,7 +206,14 @@ class ResultCache:
             return len(doomed)
 
     def on_snapshot(self, snapshot: Any) -> None:
-        """Epoch-listener adapter: invalidate from a published snapshot."""
+        """Epoch-listener adapter: invalidate from a published snapshot.
+
+        Raises the invalidation watermark first, so a put computed at an
+        older epoch that races this invalidation is rejected rather than
+        cached after it.
+        """
+        with self._lock:
+            self._invalidated_epoch = max(self._invalidated_epoch, snapshot.epoch)
         self.invalidate(snapshot.touched)
 
     def clear(self) -> None:

@@ -403,7 +403,12 @@ class EpochManager:
     # -------------------------------------------------------------- #
 
     def add_listener(self, listener: EpochListener) -> None:
-        """Register a callback invoked with every published snapshot."""
+        """Register a callback invoked with every published snapshot.
+
+        Listeners run under the manager lock, after the snapshot is built
+        and before its epoch becomes visible to readers; they must not
+        call back into the manager.
+        """
         self._listeners.append(listener)
 
     def publish(self, state: Mapping[Any, Any]) -> EpochSnapshot:
@@ -423,9 +428,7 @@ class EpochManager:
                 if k not in live or live[k] != v
             }
             deleted = [k for k in live if k not in state]
-            snapshot = self._publish_locked(changed, deleted)
-        self._notify(snapshot)
-        return snapshot
+            return self._publish_locked(changed, deleted)
 
     def publish_delta(
         self,
@@ -446,13 +449,7 @@ class EpochManager:
                 if k not in live or live[k] != v
             }
             deleted = [k for k in deleted if k in live]
-            snapshot = self._publish_locked(changed, deleted)
-        self._notify(snapshot)
-        return snapshot
-
-    def _notify(self, snapshot: EpochSnapshot) -> None:
-        for listener in self._listeners:
-            listener(snapshot)
+            return self._publish_locked(changed, deleted)
 
     def _publish_locked(
         self, changed: Dict[Any, Any], deleted: List[Any]
@@ -486,6 +483,11 @@ class EpochManager:
             topk=topk,
             topk_complete=complete,
         )
+        # Listeners (the result cache's invalidation) run before the
+        # epoch becomes visible, so no reader can pin it while an answer
+        # from the previous epoch still sits in the cache.
+        for listener in self._listeners:
+            listener(snapshot)
         self._snapshots[epoch] = snapshot
         self._latest_epoch = epoch
         self._retire_excess_locked()

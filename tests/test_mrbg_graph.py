@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.kvpair import Op
-from repro.mrbgraph.graph import DeltaEdge, Edge, apply_delta, group_delta_by_key
+from repro.mrbgraph.graph import (
+    DeltaEdge,
+    Edge,
+    apply_delta,
+    group_delta_by_key,
+    merge_columns,
+)
 
 
 class TestApplyDelta:
@@ -92,6 +98,24 @@ class TestProperties:
                 model[mk] = value
         merged = apply_delta(old_entries, delta)
         assert merged == [Edge(mk, model[mk]) for mk in sorted(model)]
+
+    @given(
+        st.dictionaries(st.integers(min_value=0, max_value=15), st.integers(),
+                        max_size=10),
+        _ops,
+    )
+    @settings(max_examples=200)
+    def test_apply_delta_is_merge_columns_as_edges(self, initial, operations):
+        old_entries = [Edge(mk, v) for mk, v in sorted(initial.items())]
+        delta = [
+            DeltaEdge(mk, None if d else v, Op.DELETE if d else Op.INSERT)
+            for mk, v, d in operations
+        ]
+        mks, values = merge_columns(
+            [e.mk for e in old_entries], [e.value for e in old_entries], delta
+        )
+        assert mks == sorted(mks)
+        assert apply_delta(old_entries, delta) == list(map(Edge, mks, values))
 
     @given(_ops)
     @settings(max_examples=100)

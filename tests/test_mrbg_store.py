@@ -4,15 +4,17 @@ persistence, compaction and metrics."""
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import StoreClosedError, StoreError
+from repro.common.errors import SerializationError, StoreClosedError, StoreError
 from repro.common.kvpair import Op
 from repro.mrbgraph.chunk import chunk_size, decode_chunk, encode_chunk
-from repro.mrbgraph.graph import DeltaEdge, Edge
+from repro.mrbgraph.graph import DeltaEdge, Edge, apply_delta, group_delta_by_key
+from repro.mrbgraph.sharding import ShardedMRBGStore
 from repro.mrbgraph.store import MRBGStore
 from repro.mrbgraph.windows import (
     IndexOnlyPolicy,
@@ -496,3 +498,176 @@ class TestEncodeOnce:
         ]
         for k2, entries in cases:
             assert chunk_size(k2, entries) == len(encode_chunk(k2, entries))
+
+
+# --------------------------------------------------------------------- #
+# columnar merge vs the edge-list reference                             #
+# --------------------------------------------------------------------- #
+
+
+def _reference_merge_delta(store, delta_by_key):
+    """The edge-list merge: ``get_chunk`` → ``apply_delta`` → ``put_chunk``."""
+    delta_list = list(delta_by_key)
+    store.begin_merge([k2 for k2, _ in delta_list])
+    try:
+        for k2, delta_edges in delta_list:
+            merged = apply_delta(store.get_chunk(k2) or [], delta_edges)
+            if merged:
+                store.put_chunk(k2, merged)
+            else:
+                store.delete_chunk(k2)
+            yield k2, merged
+    finally:
+        store.end_merge()
+
+
+def _store_files(root):
+    """Every file under ``root`` keyed by its relative path, as bytes."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def _replay(root, shards, chunks, rounds):
+    """Build, merge every round and flush; return what an observer sees."""
+    if shards == 1:
+        store = MRBGStore(root)
+    else:
+        store = ShardedMRBGStore(root, num_shards=shards, executor="serial")
+    store.build(chunks)
+    store.save_index()
+    yielded, error = [], None
+    for groups in rounds:
+        try:
+            yielded.append(list(store.merge_delta(groups)))
+        except SerializationError as exc:
+            error = str(exc)
+            break
+    journaled = _store_files(root)  # WAL holds the merge sessions here
+    store.save_index()
+    flushed = _store_files(root)
+    metrics = store.metrics
+    store.close()
+    return yielded, error, journaled, flushed, metrics
+
+
+def _assert_merge_paths_agree(tmp, shards, chunks, rounds):
+    new = _replay(os.path.join(tmp, "columnar"), shards, chunks, rounds)
+    with mock.patch.object(MRBGStore, "merge_delta", _reference_merge_delta):
+        ref = _replay(os.path.join(tmp, "reference"), shards, chunks, rounds)
+    yielded, error, journaled, flushed, metrics = new
+    assert yielded == ref[0]
+    assert all(type(e) is Edge for batch in yielded for _, es in batch for e in es)
+    assert error == ref[1]
+    assert journaled == ref[2]
+    assert flushed == ref[3]
+    assert any(name.endswith("mrbg.dat") for name in flushed)
+    assert metrics == ref[4]
+
+
+def _delta(*edges):
+    """Group ``(k2, mk, value)`` inserts / ``(k2, mk)`` deletes by K2."""
+    return group_delta_by_key(
+        (e[0], DeltaEdge(e[1], e[2], Op.INSERT) if len(e) == 3
+         else DeltaEdge(e[1], None, Op.DELETE))
+        for e in edges
+    )
+
+
+_BIG_MK = 2**64  # above the i64 range: the flat encoder must fall back
+
+_MERGE_CASES = {
+    "flat-float": (
+        [(k, [Edge(mk, mk / 3) for mk in range(8)]) for k in range(6)],
+        [_delta((1, 2, 9.5), (1, 20, 0.25), (3, 0), (5, 7, -1.0))],
+    ),
+    "flat-int": (
+        [(k, [Edge(mk, mk * 7 - 2**40) for mk in range(6)]) for k in range(5)],
+        [_delta((0, 1, 2**62), (2, 9, -3)), _delta((0, 3), (4, 4, 4))],
+    ),
+    "non-flat": (
+        [(0, [Edge(0, "s"), Edge(1, (1, "t")), Edge(2, None), Edge(3, 1.5),
+              Edge(4, 7)])],
+        [_delta((0, 1, None), (0, 9, ("x", 2)), (0, 2))],
+    ),
+    "big-mk": (
+        [(k, [Edge(mk, float(mk)) for mk in range(5)]) for k in range(3)],
+        [_delta((0, 1, 1.0), (1, _BIG_MK, 2.0), (2, 0, 3.0))],
+    ),
+    "short-chunks": (
+        [(k, [Edge(mk, float(mk)) for mk in range(k)]) for k in range(1, 5)],
+        [_delta((1, 5, 5.0), (2, 0), (3, 1, 1.5), (4, 9, 9.0))],
+    ),
+    "delete-empties-chunk": (
+        [(k, [Edge(0, 0.5), Edge(1, 1.5)]) for k in range(3)],
+        [_delta((1, 0), (1, 1)), _delta((1, 4, 4.0))],
+    ),
+    "delete-absent-mk": (
+        [(0, [Edge(mk, float(mk)) for mk in range(5)])],
+        [_delta((0, 99), (0, 3))],
+    ),
+    "new-k2": (
+        [(0, [Edge(0, 1.0)])],
+        [_delta((7, 1, 2.0), (7, 2, 3.0), (7, 3, 4.0), (7, 4, 5.0), ("k", 0, 1))],
+    ),
+    "duplicate-mk-last-wins": (
+        [(0, [Edge(mk, float(mk)) for mk in range(5)])],
+        [_delta((0, 2, 10.0), (0, 2, 20.0), (0, 6, 1.0), (0, 6), (0, 6, 3.0))],
+    ),
+}
+
+_I64 = st.integers(-(2**63), 2**63 - 1)
+_VALUE_KINDS = {
+    "float": st.floats(allow_nan=False),
+    "int": _I64,
+    "mixed": st.one_of(
+        st.none(), st.text(max_size=3), st.tuples(st.integers(0, 9), st.booleans()),
+        st.floats(allow_nan=False), _I64,
+    ),
+}
+
+
+@st.composite
+def _merge_histories(draw):
+    """An initial store plus 1-3 delta rounds of one value kind."""
+    values = _VALUE_KINDS[draw(st.sampled_from(sorted(_VALUE_KINDS)))]
+    chunks = []
+    for k2 in range(draw(st.integers(0, 6))):
+        mks = sorted(draw(st.sets(st.integers(0, 12), max_size=9)))
+        if mks:
+            chunks.append((k2, [Edge(mk, draw(values)) for mk in mks]))
+    edge = st.one_of(
+        st.tuples(st.integers(0, 8), st.integers(0, 14), values),  # insert
+        st.tuples(st.integers(0, 8), st.integers(0, 14)),  # delete
+    )
+    rounds = [
+        _delta(*draw(st.lists(edge, max_size=25)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        rounds[-1] = rounds[-1] + [(99, [DeltaEdge(_BIG_MK, 0.0, Op.INSERT)])]
+    return chunks, rounds
+
+
+class TestColumnarMergeMatchesReference:
+    """``merge_delta`` (columns end to end) must be indistinguishable from
+    the edge-list path: same yields, same ``mrbg.dat``/``mrbg.idx``/
+    ``mrbg.wal`` bytes and same ``StoreMetrics``."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("case", sorted(_MERGE_CASES))
+    def test_named_cases(self, tmp_path, case, shards):
+        chunks, rounds = _MERGE_CASES[case]
+        _assert_merge_paths_agree(str(tmp_path), shards, chunks, rounds)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @given(history=_merge_histories())
+    @settings(max_examples=40, deadline=None)
+    def test_random_histories(self, tmp_path_factory, shards, history):
+        chunks, rounds = history
+        tmp = str(tmp_path_factory.mktemp("merge-diff"))
+        _assert_merge_paths_agree(tmp, shards, chunks, rounds)

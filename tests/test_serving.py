@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -272,6 +273,16 @@ class TestResultCache:
         assert cache.stats.stale_puts == 1
         assert cache.get("q", 4) == (False, None)
 
+    def test_put_racing_an_invalidation_is_rejected(self):
+        cache = ResultCache(capacity=8)
+        # The reader read latest_epoch=0, then epoch 1 invalidated the
+        # cache before its put landed: the epoch-0 answer must not stick.
+        cache.on_snapshot(SimpleNamespace(epoch=1, touched=frozenset(["k"])))
+        assert not cache.put("topk", [1], epoch=0, latest_epoch=0,
+                             global_dep=True)
+        assert cache.stats.stale_puts == 1
+        assert cache.get("topk", 1) == (False, None)
+
     def test_zero_capacity_disables(self):
         cache = ResultCache(capacity=0)
         assert not cache.put("q", 1, 0, 0, deps=frozenset(["k"]))
@@ -369,6 +380,41 @@ class TestQueryServer:
         server.get("w00")
         assert server.stats.num_epochs_served == 2
         assert server.stats.queries == 2
+
+    def test_reader_during_invalidation_never_hits_stale_topk(self):
+        # Pause the cache invalidation of epoch 1 and query the latest
+        # epoch meanwhile: the reader must get epoch 0's answer or a
+        # fresh one, never the epoch-0 top_k served as epoch 1.
+        entered, release = threading.Event(), threading.Event()
+        cache = ResultCache(capacity=64)
+        invalidate = cache.on_snapshot
+
+        def gated_on_snapshot(snapshot):
+            if snapshot.epoch == 1:
+                entered.set()
+                release.wait(timeout=30)
+            invalidate(snapshot)
+
+        cache.on_snapshot = gated_on_snapshot
+        server = QueryServer(num_shards=2, cache=cache)
+        server.publish({"a": 1, "b": 2, "c": 3})
+        assert server.top_k(2).value == [("c", 3), ("b", 2)]  # cached at 0
+
+        publisher = threading.Thread(
+            target=server.publish, args=({"a": 10, "b": 2, "c": 3},)
+        )
+        publisher.start()
+        assert entered.wait(timeout=30)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(server.top_k(2)))
+        reader.start()
+        reader.join(timeout=0.5)  # long enough to answer if it is not held
+        release.set()
+        publisher.join(timeout=30)
+        reader.join(timeout=30)
+        (answer,) = answers
+        assert answer.value == server.manager.snapshot(answer.epoch).top_k(2)
+        assert server.manager.latest_epoch == 1
 
 
 # --------------------------------------------------------------------- #
