@@ -19,16 +19,16 @@ The cost model captures what Fig 12 measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.plainmr import RecompResult
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import JobMetrics, StageTimes
-from repro.common.hashing import partition_for
 from repro.common.sizeof import record_size
 from repro.dfs.filesystem import DistributedFS
 from repro.execution import ExecutorSelector, ExecutorSpec
+from repro.iterative.engine import IterMapPayload, execute_iter_map_task
 
 #: Spark keeps the current and previous state RDD generations (plus
 #: lineage bookkeeping) alive across an iteration boundary.
@@ -45,50 +45,6 @@ _PRESSURE_SLOWDOWN = 6.0
 
 #: Per-iteration scheduler overhead in seconds (no job startup).
 _SCHEDULER_TICK_S = 0.5
-
-
-@dataclass
-class SparkMapPayload:
-    """One RDD map task: a contiguous slice of the cached partitions."""
-
-    index: int
-    #: ``(DK, DV, [(SK, SV), ...])`` groups with the state value joined in.
-    groups: List[Tuple[Any, Any, List[Tuple[Any, Any]]]]
-    algorithm: Any
-
-
-@dataclass
-class SparkMapRun:
-    """Contributions of one RDD map task."""
-
-    index: int
-    contributions: Dict[Any, List[Any]]
-    emitted: int
-    emitted_bytes: int
-    num_pairs: int
-
-
-def execute_spark_map_task(payload: SparkMapPayload) -> SparkMapRun:
-    """Map one slice of the cached structure RDD; pure function."""
-    algorithm = payload.algorithm
-    contributions: Dict[Any, List[Any]] = {}
-    emitted = 0
-    emitted_bytes = 0
-    num_pairs = 0
-    for dk, dv, pairs in payload.groups:
-        for sk, sv in pairs:
-            num_pairs += 1
-            for k2, v2 in algorithm.map_instance(sk, sv, dk, dv):
-                contributions.setdefault(k2, []).append(v2)
-                emitted += 1
-                emitted_bytes += record_size(k2, v2)
-    return SparkMapRun(
-        index=payload.index,
-        contributions=contributions,
-        emitted=emitted,
-        emitted_bytes=emitted_bytes,
-        num_pairs=num_pairs,
-    )
 
 
 @dataclass
@@ -176,33 +132,27 @@ class SparkLikeDriver:
             # partitions, dispatched through the execution backend;
             # merging contributions in slice order reproduces exactly
             # the serial iteration order.
-            joined = []
-            for dk, pairs in groups.items():
-                dv = state.get(dk)
-                if dv is None:
-                    dv = algorithm.init_state_value(dk)
-                joined.append((dk, dv, pairs))
+            joined = [(dk, state.get(dk), pairs) for dk, pairs in groups.items()]
             slice_size = max(1, -(-len(joined) // max(1, workers)))
             payloads = [
-                SparkMapPayload(
-                    index=i,
+                IterMapPayload(
+                    partition=i,
                     groups=joined[start : start + slice_size],
                     algorithm=algorithm,
+                    num_partitions=1,
+                    with_mk=False,
                 )
                 for i, start in enumerate(range(0, len(joined), slice_size))
             ]
-            map_runs = self.executor.run_tasks(execute_spark_map_task, payloads)
+            map_runs = self.executor.run_tasks(execute_iter_map_task, payloads)
 
             contributions: Dict[Any, List[Any]] = {}
-            emitted = 0
             emitted_bytes = 0
-            num_pairs = 0
-            for run in sorted(map_runs, key=lambda r: r.index):
-                for k2, values in run.contributions.items():
-                    contributions.setdefault(k2, []).extend(values)
-                emitted += run.emitted
+            for run in sorted(map_runs, key=lambda r: r.partition):
+                for k2, _, v2 in run.per_q[0]:
+                    contributions.setdefault(k2, []).append(v2)
                 emitted_bytes += run.emitted_bytes
-                num_pairs += run.num_pairs
+            num_pairs = sum(len(pairs) for _, _, pairs in joined)
             times.map = cost.cpu_time(num_pairs, algorithm.map_cpu_weight) / workers
 
             # --------------------------- shuffle ------------------------- #

@@ -155,10 +155,43 @@ class ExecutorSelector:
         self._cache.clear()
 
 
+class ExecutorEngine:
+    """Base of the engines: cluster, DFS and per-job execution backends.
+
+    Args:
+        executor: engine-wide default host execution backend (name,
+            backend instance, or ``None`` for the library default);
+            individual jobs override it via their ``executor`` field.
+    """
+
+    def __init__(self, cluster: Any, dfs: Any, executor: ExecutorSpec = None) -> None:
+        self.cluster = cluster
+        self.dfs = dfs
+        self.executors = ExecutorSelector(executor, cost_model=cluster.cost_model)
+
+    def backend_for(self, job: Any) -> ExecutionBackend:
+        """The execution backend a job's task batches run on.
+
+        A :class:`repro.resilience.ResilientExecutor` enforcing the
+        job's retry/timeout/speculation knobs (environment defaults when
+        the job does not set them).
+        """
+        from repro.resilience.policy import RetryPolicy
+
+        return self.executors.get(
+            job.executor, job.max_workers, resilience=RetryPolicy.for_job(job)
+        )
+
+    def close(self) -> None:
+        """Shut down any host worker pools the engine created."""
+        self.executors.close()
+
+
 __all__ = [
     "BACKENDS",
     "EXECUTOR_NAMES",
     "ExecutionBackend",
+    "ExecutorEngine",
     "ExecutorSelector",
     "ExecutorSpec",
     "ExecutorStats",

@@ -34,11 +34,11 @@ from repro.common import config
 from repro.common.errors import JobError
 from repro.common.hashing import map_key, partition_for
 from repro.common.kvpair import DeltaRecord, Op, sort_key, sort_records
-from repro.common.sizeof import record_size
+from repro.common.sizeof import record_size, records_size
 from repro.dfs.filesystem import DistributedFS
 from repro.execution import (
     ExecutionBackend,
-    ExecutorSelector,
+    ExecutorEngine,
     ExecutorSpec,
     SerialBackend,
 )
@@ -48,7 +48,10 @@ from repro.inciter.state import PreservedIterState
 from repro.iterative.api import Dependency, IterationStats, IterativeJob
 from repro.iterative.engine import (
     MK_BYTES,
+    IterMapPayload,
     IterMRResult,
+    execute_iter_map_task,
+    map_task_cost,
     run_full_iteration,
 )
 from repro.iterative.partitioning import (
@@ -56,74 +59,12 @@ from repro.iterative.partitioning import (
     partition_structure,
 )
 from repro.mrbgraph.graph import DeltaEdge, Edge
-from repro.resilience.policy import RetryPolicy
 
 #: Encoded overhead of the +/- op marker on a delta edge.
 _OP_BYTES = 2
 
 #: Fallback backend when no executor is supplied.
 _SERIAL_BACKEND = SerialBackend()
-
-
-@dataclass
-class DeltaStateMapPayload:
-    """One delta-state map task (iteration j >= 2, §5.1)."""
-
-    partition: int
-    #: ``(DK, DV_changed, [(SK, SV), ...])`` for the changed state keys
-    #: whose structure groups live in this partition.
-    groups: List[Tuple[Any, Any, List[Tuple[Any, Any]]]]
-    algorithm: Any
-    num_partitions: int
-
-
-@dataclass
-class DeltaStateMapRun:
-    """Replacement MRBGraph edges emitted by one delta-state map task."""
-
-    partition: int
-    #: reduce partition q -> ``[(K2, DeltaEdge), ...]`` in emission order.
-    per_q: Dict[int, List[Tuple[Any, "DeltaEdge"]]]
-    edge_bytes_per_q: Dict[int, int]
-    read_bytes: int
-    emitted: int
-    emitted_bytes: int
-    pairs_done: int
-
-
-def execute_delta_state_map_task(payload: DeltaStateMapPayload) -> DeltaStateMapRun:
-    """Map the structure kv-pairs hit by changed state; pure function."""
-    algorithm = payload.algorithm
-    n = payload.num_partitions
-    per_q: Dict[int, List[Tuple[Any, DeltaEdge]]] = {}
-    edge_bytes_per_q: Dict[int, int] = {}
-    read_bytes = 0
-    emitted = 0
-    emitted_bytes = 0
-    pairs_done = 0
-    for dk, dv, pairs in payload.groups:
-        read_bytes += record_size(dk, dv)
-        for sk, sv in pairs:
-            read_bytes += record_size(sk, sv)
-            mk = map_key(sk, sv)
-            outs = algorithm.map_instance(sk, sv, dk, dv)
-            pairs_done += 1
-            emitted += len(outs)
-            for k2, v2 in outs:
-                q = partition_for(k2, n)
-                per_q.setdefault(q, []).append((k2, DeltaEdge(mk, v2, Op.INSERT)))
-                nbytes = record_size(k2, v2) + MK_BYTES + _OP_BYTES
-                edge_bytes_per_q[q] = edge_bytes_per_q.get(q, 0) + nbytes
-                emitted_bytes += nbytes
-    return DeltaStateMapRun(
-        partition=payload.partition,
-        per_q=per_q,
-        edge_bytes_per_q=edge_bytes_per_q,
-        read_bytes=read_bytes,
-        emitted=emitted,
-        emitted_bytes=emitted_bytes,
-        pairs_done=pairs_done,
-    )
 
 
 @dataclass
@@ -178,7 +119,7 @@ class I2MRResult:
         return self.mrbg_disabled_at is not None
 
 
-class I2MREngine:
+class I2MREngine(ExecutorEngine):
     """The §5 engine: fine-grain incremental + general-purpose iterative."""
 
     def __init__(
@@ -191,31 +132,13 @@ class I2MREngine:
         num_shards: Optional[int] = None,
         compaction: Optional[str] = None,
     ) -> None:
-        self.cluster = cluster
-        self.dfs = dfs
+        super().__init__(cluster, dfs, executor)
         self.policy_factory = policy_factory
         self.store_root = store_root
-        self.executors = ExecutorSelector(executor, cost_model=cluster.cost_model)
         #: shards per preserved MRBG-Store (None = REPRO_SHARDS default).
         self.num_shards = num_shards
         #: MRBG-Store compaction policy name (None = REPRO_COMPACTION).
         self.compaction = compaction
-
-    def backend_for(self, job: IterativeJob) -> ExecutionBackend:
-        """The execution backend this job's task batches run on.
-
-        Wrapped in a :class:`repro.resilience.ResilientExecutor`
-        enforcing the job's retry/timeout/speculation knobs.
-        """
-        return self.executors.get(
-            getattr(job, "executor", None),
-            getattr(job, "max_workers", None),
-            resilience=RetryPolicy.for_job(job),
-        )
-
-    def close(self) -> None:
-        """Shut down any host worker pools the engine created."""
-        self.executors.close()
 
     # ------------------------------------------------------------------ #
     # initial converged run                                              #
@@ -744,11 +667,9 @@ class I2MREngine:
                         nbytes = record_size(k2, v2) + MK_BYTES + _OP_BYTES
                         edge_bytes[q] += nbytes
                         emitted_bytes += nbytes
-            task_cost = cost.disk_read_time(read_bytes)
-            task_cost += cost.cpu_time(len(recs), algorithm.map_cpu_weight)
-            task_cost += cost.sort_time(emitted)
-            task_cost += cost.disk_write_time(emitted_bytes)
-            map_loads[p % workers] += task_cost
+            map_loads[p % workers] += map_task_cost(
+                cost, algorithm, read_bytes, len(recs), emitted, emitted_bytes
+            )
         for dk in sorted(removal_candidates, key=sort_key):
             p = partition_for(dk, parts.num_partitions)
             if dk not in parts.groups[p]:
@@ -793,33 +714,44 @@ class I2MREngine:
                 if dk in parts.groups[p]:
                     per_partition.setdefault(p, []).append((dk, dv))
 
-        payloads = [
-            DeltaStateMapPayload(
-                partition=p,
-                groups=[
-                    (dk, dv, list(parts.groups[p].get(dk, ())))
-                    for dk, dv in dk_list
-                ],
-                algorithm=algorithm,
-                num_partitions=n,
+        payloads: List[IterMapPayload] = []
+        read_bytes: Dict[int, int] = {}
+        for p, dk_list in sorted(per_partition.items()):
+            groups = [(dk, dv, list(parts.groups[p][dk])) for dk, dv in dk_list]
+            read_bytes[p] = sum(
+                record_size(dk, dv) + records_size(pairs) for dk, dv, pairs in groups
             )
-            for p, dk_list in sorted(per_partition.items())
-        ]
+            payloads.append(
+                IterMapPayload(
+                    partition=p,
+                    groups=groups,
+                    algorithm=algorithm,
+                    num_partitions=n,
+                    with_mk=True,
+                )
+            )
         runner = backend or _SERIAL_BACKEND
-        runs = runner.run_tasks(execute_delta_state_map_task, payloads)
+        runs = runner.run_tasks(execute_iter_map_task, payloads)
 
+        overhead = MK_BYTES + _OP_BYTES
+        insert = Op.INSERT
         instances = 0
-        for run in sorted(runs, key=lambda r: r.partition):
+        for run, payload in zip(sorted(runs, key=lambda r: r.partition), payloads):
             p = run.partition
-            for q in sorted(run.per_q):
-                delta_edges[q].extend(run.per_q[q])
-                edge_bytes[q] += run.edge_bytes_per_q[q]
-            task_cost = cost.disk_read_time(run.read_bytes)
-            task_cost += cost.cpu_time(run.pairs_done, algorithm.map_cpu_weight)
-            task_cost += cost.sort_time(run.emitted)
-            task_cost += cost.disk_write_time(run.emitted_bytes)
-            map_loads[p % workers] += task_cost
-            instances += run.pairs_done
+            for q, recs in enumerate(run.per_q):
+                delta_edges[q] += [(k2, DeltaEdge(mk, v2, insert)) for k2, mk, v2 in recs]
+                edge_bytes[q] += run.bytes_per_q[q] + overhead * len(recs)
+            emitted = run.emitted
+            pairs_done = sum(len(pairs) for _, _, pairs in payload.groups)
+            map_loads[p % workers] += map_task_cost(
+                cost,
+                algorithm,
+                read_bytes[p],
+                pairs_done,
+                emitted,
+                run.emitted_bytes + overhead * emitted,
+            )
+            instances += pairs_done
         counters.add("delta_map_instances", instances)
         return len(payloads), sum(len(v) for v in per_partition.values())
 

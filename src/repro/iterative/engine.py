@@ -18,30 +18,24 @@ delta proportion ``P∆`` trips the MRBGraph auto-off, §5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
 from repro.common import config
+from repro.common.errors import JobError
 from repro.common.hashing import map_key, partition_for
 from repro.common.kvpair import sort_key, sort_records
 from repro.common.sizeof import record_size
-from repro.dfs.filesystem import DistributedFS
-from repro.execution import (
-    ExecutionBackend,
-    ExecutorSelector,
-    ExecutorSpec,
-    SerialBackend,
-)
-from repro.iterative.api import Dependency, IterationStats, IterativeJob
+from repro.execution import ExecutionBackend, ExecutorEngine, SerialBackend
+from repro.iterative.api import IterationStats, IterativeJob
 from repro.iterative.partitioning import (
     PartitionedStructure,
     partition_job_cost,
     partition_structure,
     state_bytes_by_partition,
 )
-from repro.resilience.policy import RetryPolicy
 
 #: Encoded overhead of shipping the globally unique MK with each
 #: intermediate kv-pair (one tagged 64-bit int), charged only when the
@@ -60,54 +54,109 @@ _SERIAL = SerialBackend()
 
 @dataclass
 class IterMapPayload:
-    """One prime Map task: a partition's structure groups + state slice."""
+    """One prime Map task: structure groups joined with their state values."""
 
     partition: int
-    #: ``(DK, [(SK, SV), ...])`` groups in DK-sorted order.
-    groups: List[Tuple[Any, List[Tuple[Any, Any]]]]
-    #: state values for exactly the DKs appearing in ``groups``.
-    state_slice: Dict[Any, Any]
+    #: ``(DK, DV-or-None, [(SK, SV), ...])`` groups; a ``None`` state
+    #: value falls back to the algorithm's initial value for ``DK``.
+    groups: List[Tuple[Any, Any, List[Tuple[Any, Any]]]]
     algorithm: Any
     num_partitions: int
-    capture_chunks: bool
+    #: tag each emission with its Map instance's MK (0 when off, and
+    #: ``map_key`` is never called).
+    with_mk: bool
 
 
 @dataclass
 class IterMapRun:
-    """Emissions of one prime Map task, pre-bucketed by reduce partition."""
+    """Emissions of one prime Map task, bucketed by reduce partition.
+
+    Each group's emissions are contiguous within every bucket, so
+    ``ends`` delimits them without a container per group: group ``i``'s
+    records bound for ``q`` are ``per_q[q][ends[i - 1][q]:ends[i][q]]``.
+    """
 
     partition: int
-    #: reduce partition q -> emitted ``(K2, MK, V2)`` in emission order.
-    per_q: Dict[int, List[Tuple[Any, int, Any]]]
-    emitted: int
-    emitted_bytes: int
+    #: reduce partition q -> ``(K2, MK, V2)`` emissions in emission order.
+    per_q: List[List[Tuple[Any, int, Any]]]
+    #: per payload group, in payload order: every bucket's length once
+    #: that group was mapped.
+    ends: List[Tuple[int, ...]]
+    #: reduce partition q -> summed ``record_size(K2, V2)`` of its records.
+    bytes_per_q: List[int]
+
+    @property
+    def emitted(self) -> int:
+        """Number of ``(K2, MK, V2)`` records the task emitted."""
+        return sum(map(len, self.per_q))
+
+    @property
+    def emitted_bytes(self) -> int:
+        """Encoded size of the emitted ``(K2, V2)`` records (no MK)."""
+        return sum(self.bytes_per_q)
+
+    def per_source(self) -> Iterator[List[Tuple[Any, int, Any]]]:
+        """Each group's emissions, in payload order.
+
+        Records come bucket by bucket; a K2 lives in exactly one bucket,
+        so every K2's records keep their emission order.
+        """
+        start = (0,) * len(self.per_q)
+        for end in self.ends:
+            yield [
+                rec
+                for q, recs in enumerate(self.per_q)
+                if end[q] > start[q]
+                for rec in recs[start[q] : end[q]]
+            ]
+            start = end
 
 
 def execute_iter_map_task(payload: IterMapPayload) -> IterMapRun:
-    """Run one prime Map task; pure function of its payload."""
+    """Run one prime Map task (structure ⋈ state, then map); pure function.
+
+    The one map kernel of every iterative path: full sweeps, workset
+    supersteps, delta-state iterations and the Spark-like baseline.
+    Each record's reduce partition and size are computed here, once.
+    """
     algorithm = payload.algorithm
     n = payload.num_partitions
-    per_q: Dict[int, List[Tuple[Any, int, Any]]] = {}
-    emitted = 0
-    emitted_bytes = 0
-    for dk, pairs in payload.groups:
-        dv = payload.state_slice.get(dk)
+    with_mk = payload.with_mk
+    per_q: List[List[Tuple[Any, int, Any]]] = [[] for _ in range(n)]
+    bytes_per_q = [0] * n
+    ends: List[Tuple[int, ...]] = []
+    for dk, dv, pairs in payload.groups:
         if dv is None:
             dv = algorithm.init_state_value(dk)
         for sk, sv in pairs:
-            mk = map_key(sk, sv) if payload.capture_chunks else 0
+            mk = map_key(sk, sv) if with_mk else 0
             for k2, v2 in algorithm.map_instance(sk, sv, dk, dv):
-                q = partition_for(k2, n)
-                per_q.setdefault(q, []).append((k2, mk, v2))
-                emitted += 1
-                emitted_bytes += record_size(k2, v2)
-    if payload.capture_chunks:
-        emitted_bytes += emitted * MK_BYTES
+                q = partition_for(k2, n) if n > 1 else 0
+                per_q[q].append((k2, mk, v2))
+                bytes_per_q[q] += record_size(k2, v2)
+        ends.append(tuple(map(len, per_q)))
     return IterMapRun(
         partition=payload.partition,
         per_q=per_q,
-        emitted=emitted,
-        emitted_bytes=emitted_bytes,
+        ends=ends,
+        bytes_per_q=bytes_per_q,
+    )
+
+
+def map_task_cost(
+    cost: Any,
+    algorithm: Any,
+    read_bytes: int,
+    pairs: int,
+    emitted: int,
+    emitted_bytes: int,
+) -> float:
+    """Simulated seconds of one prime Map task: read, map, sort, spill."""
+    return (
+        cost.disk_read_time(read_bytes)
+        + cost.cpu_time(pairs, algorithm.map_cpu_weight)
+        + cost.sort_time(emitted)
+        + cost.disk_write_time(emitted_bytes)
     )
 
 
@@ -141,10 +190,16 @@ class IterReduceRun:
 def execute_iter_reduce_task(payload: IterReducePayload) -> IterReduceRun:
     """Run one prime Reduce task; pure function of its payload."""
     algorithm = payload.algorithm
+    capture = payload.capture_chunks
     records = sort_records(payload.records)
-    grouped: Dict[Any, List[Tuple[int, Any]]] = {}
-    for k2, mk, v2 in records:
-        grouped.setdefault(k2, []).append((mk, v2))
+    # K2 -> [(MK, V2), ...] when capturing chunks, else K2 -> [V2, ...].
+    grouped: Dict[Any, List[Any]] = {}
+    if capture:
+        for k2, mk, v2 in records:
+            grouped.setdefault(k2, []).append((mk, v2))
+    else:
+        for k2, _, v2 in records:
+            grouped.setdefault(k2, []).append(v2)
 
     if payload.replicated:
         reduce_keys = sorted(grouped, key=sort_key)
@@ -158,18 +213,18 @@ def execute_iter_reduce_task(payload: IterReducePayload) -> IterReduceRun:
 
     outputs: List[Tuple[Any, Any]] = []
     chunk_list: Optional[List[Tuple[Any, List[Tuple[int, Any]]]]] = (
-        [] if payload.capture_chunks else None
+        [] if capture else None
     )
     values_processed = 0
     out_bytes = 0
     for k2 in reduce_keys:
         entries = grouped.get(k2, [])
-        values = [v2 for _, v2 in entries]
+        values = [v2 for _, v2 in entries] if capture else entries
         dv_new = algorithm.reduce_instance(k2, values)
         outputs.append((k2, dv_new))
         values_processed += len(values) + 1
         out_bytes += record_size(k2, dv_new)
-        if payload.capture_chunks and entries:
+        if capture and entries:
             chunk_list.append((k2, entries))
     return IterReduceRun(
         partition=payload.partition,
@@ -229,36 +284,39 @@ def run_full_iteration(
     map_loads = [0.0] * workers
     map_task_costs: List[float] = []
 
-    map_payloads: List[IterMapPayload] = []
-    for p in range(n):
-        group_items = list(parts.iter_groups(p))
-        state_slice = {
-            dk: state[dk] for dk, _ in group_items if dk in state
-        }
-        map_payloads.append(
-            IterMapPayload(
-                partition=p,
-                groups=group_items,
-                state_slice=state_slice,
-                algorithm=algorithm,
-                num_partitions=n,
-                capture_chunks=capture_chunks,
-            )
+    map_payloads = [
+        IterMapPayload(
+            partition=p,
+            groups=[(dk, state.get(dk), pairs) for dk, pairs in parts.iter_groups(p)],
+            algorithm=algorithm,
+            num_partitions=n,
+            with_mk=capture_chunks,
         )
+        for p in range(n)
+    ]
     map_runs = backend.run_tasks(execute_iter_map_task, map_payloads)
 
+    mk_bytes = MK_BYTES if capture_chunks else 0
+    shuffle_bytes = [0] * n
     for run in sorted(map_runs, key=lambda r: r.partition):
         p = run.partition
-        for q in sorted(run.per_q):
+        for q in range(n):
             intermediate[q].extend(run.per_q[q])
-        task_cost = cost.disk_read_time(parts.structure_bytes[p] + state_sizes[p])
-        task_cost += cost.cpu_time(parts.num_pairs[p], algorithm.map_cpu_weight)
-        task_cost += cost.sort_time(run.emitted)
-        task_cost += cost.disk_write_time(run.emitted_bytes)
+            shuffle_bytes[q] += run.bytes_per_q[q]
+        emitted = run.emitted
+        emitted_bytes = run.emitted_bytes + emitted * mk_bytes
+        task_cost = map_task_cost(
+            cost,
+            algorithm,
+            parts.structure_bytes[p] + state_sizes[p],
+            parts.num_pairs[p],
+            emitted,
+            emitted_bytes,
+        )
         map_loads[p % workers] += task_cost
         map_task_costs.append(task_cost)
-        counters.add("map_output_records", run.emitted)
-        counters.add("map_output_bytes", run.emitted_bytes)
+        counters.add("map_output_records", emitted)
+        counters.add("map_output_bytes", emitted_bytes)
     counters.add("map_input_pairs", parts.total_pairs())
     times.map = max(map_loads)
 
@@ -269,10 +327,7 @@ def run_full_iteration(
         # Volume from each map partition p; records were produced
         # partition-at-a-time so we approximate the per-source split by
         # charging local transfer for the co-located source only.
-        total_bytes = sum(
-            record_size(k2, v2) + (MK_BYTES if capture_chunks else 0)
-            for k2, _, v2 in intermediate[q]
-        )
+        total_bytes = shuffle_bytes[q] + mk_bytes * len(intermediate[q])
         local_fraction = 1.0 / max(1, n)
         local_bytes = int(total_bytes * local_fraction)
         remote_bytes = total_bytes - local_bytes
@@ -394,37 +449,13 @@ class IterMRResult:
         return self.metrics.total_time
 
 
-class IterMREngine:
+class IterMREngine(ExecutorEngine):
     """Runs :class:`IterativeJob` computations with the §4 optimizations.
 
     Args:
         executor: engine-wide default host execution backend; individual
             jobs override it via ``IterativeJob.executor``.
     """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        dfs: DistributedFS,
-        executor: ExecutorSpec = None,
-    ) -> None:
-        self.cluster = cluster
-        self.dfs = dfs
-        self.executors = ExecutorSelector(executor, cost_model=cluster.cost_model)
-
-    def backend_for(self, job: IterativeJob) -> ExecutionBackend:
-        """The execution backend this job's prime task batches run on.
-
-        Wrapped in a :class:`repro.resilience.ResilientExecutor`
-        enforcing the job's retry/timeout/speculation knobs.
-        """
-        return self.executors.get(
-            job.executor, job.max_workers, resilience=RetryPolicy.for_job(job)
-        )
-
-    def close(self) -> None:
-        """Shut down any host worker pools the engine created."""
-        self.executors.close()
 
     def run(
         self,
@@ -446,8 +477,21 @@ class IterMREngine:
             parts: pre-partitioned structure (skips partitioning work).
             charge_preprocess: include the partition job in the reported
                 time (Fig 8 includes it; Fig 9 excludes it).
+            fault_context: injected task faults charged to every full
+                sweep (Fig 13); workset iteration does not support it.
+
+        Raises:
+            JobError: when ``fault_context`` is given to a workset run.
         """
         job.validate()
+        use_workset = (
+            job.workset if job.workset is not None else config.DEFAULT_WORKSET
+        )
+        if use_workset and fault_context is not None:
+            raise JobError(
+                "fault_context charges full-sweep task costs; "
+                "it cannot be combined with workset iteration"
+            )
         algorithm = job.algorithm
         cost = self.cluster.cost_model
 
@@ -484,15 +528,11 @@ class IterMREngine:
         per_iteration: List[IterationStats] = []
         converged = False
         iterations = 0
-        use_workset = (
-            job.workset if job.workset is not None else config.DEFAULT_WORKSET
-        )
         if use_workset:
             # Workset-driven delta iteration (Ewen et al.): superstep 0
             # is the priming full sweep; later supersteps re-map only
             # the dirty frontier and the loop stops when it drains empty
-            # (the exact fixpoint) — fault_context is a full-sweep-only
-            # feature and is ignored here.
+            # (the exact fixpoint).
             from repro.iterative.workset import WorksetRunner
 
             runner = WorksetRunner(

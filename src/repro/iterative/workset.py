@@ -44,7 +44,6 @@ the ``total_difference`` series matches the full-sweep engine's, so an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -54,12 +53,19 @@ from repro.cluster.scheduler import (
     ShardTaskSpec,
     schedule_shard_stage,
 )
-from repro.common.hashing import map_key, partition_for
+from repro.common.hashing import partition_for
 from repro.common.kvpair import sort_key
-from repro.common.sizeof import record_size
+from repro.common.sizeof import record_size, records_size
 from repro.execution import ExecutionBackend, SerialBackend
 from repro.inciter.cpc import ChangePropagationControl
 from repro.iterative.api import IterationStats
+from repro.iterative.engine import (
+    IterMapPayload,
+    IterReducePayload,
+    execute_iter_map_task,
+    execute_iter_reduce_task,
+    map_task_cost,
+)
 from repro.iterative.partitioning import PartitionedStructure
 from repro.mrbgraph.sharding import HashShardRouter, ShardRouter
 
@@ -168,124 +174,6 @@ def workset_task_specs(
 
 
 # ---------------------------------------------------------------------- #
-# task payloads + task functions (module-level so they pickle)           #
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class WorksetMapPayload:
-    """One workset Map task: a partition's *dirty* structure groups."""
-
-    partition: int
-    #: ``(DK, DV-or-None, [(SK, SV), ...])`` — the dirty groups only;
-    #: ``None`` state values fall back to the algorithm's initial value,
-    #: mirroring :func:`repro.iterative.engine.execute_iter_map_task`.
-    groups: List[Tuple[Any, Any, List[Tuple[Any, Any]]]]
-    algorithm: Any
-
-
-@dataclass
-class WorksetMapRun:
-    """Per-source emissions of one workset Map task, in emission order."""
-
-    partition: int
-    #: ``(DK, [(K2, MK, V2), ...])`` per dirty source group.
-    per_source: List[Tuple[Any, List[Tuple[Any, int, Any]]]]
-    emitted: int
-    emitted_bytes: int
-    read_bytes: int
-    pairs_done: int
-
-
-def execute_workset_map_task(payload: WorksetMapPayload) -> WorksetMapRun:
-    """Re-map one partition's dirty groups; pure function of its payload."""
-    algorithm = payload.algorithm
-    per_source: List[Tuple[Any, List[Tuple[Any, int, Any]]]] = []
-    emitted = 0
-    emitted_bytes = 0
-    read_bytes = 0
-    pairs_done = 0
-    for dk, dv, pairs in payload.groups:
-        if dv is None:
-            dv = algorithm.init_state_value(dk)
-        read_bytes += record_size(dk, dv)
-        emissions: List[Tuple[Any, int, Any]] = []
-        for sk, sv in pairs:
-            mk = map_key(sk, sv)
-            read_bytes += record_size(sk, sv)
-            pairs_done += 1
-            for k2, v2 in algorithm.map_instance(sk, sv, dk, dv):
-                emissions.append((k2, mk, v2))
-                emitted += 1
-                emitted_bytes += record_size(k2, v2)
-        per_source.append((dk, emissions))
-    return WorksetMapRun(
-        partition=payload.partition,
-        per_source=per_source,
-        emitted=emitted,
-        emitted_bytes=emitted_bytes,
-        read_bytes=read_bytes,
-        pairs_done=pairs_done,
-    )
-
-
-@dataclass
-class WorksetReducePayload:
-    """One workset Reduce task: the affected K2 groups of a partition."""
-
-    partition: int
-    #: ``(K2, [V2...], has_edges, in_state)`` — values in cache order.
-    groups: List[Tuple[Any, List[Any], bool, bool]]
-    algorithm: Any
-    replicated: bool
-
-
-@dataclass
-class WorksetReduceRun:
-    """Outputs of one workset Reduce task."""
-
-    partition: int
-    outputs: List[Tuple[Any, Any]]
-    #: K2s that no longer earn a Reduce instance (all edges gone and —
-    #: for co-partitioned state — not a state key either); their cached
-    #: outputs must be forgotten.
-    dropped: List[Any]
-    values_processed: int
-    out_bytes: int
-
-
-def execute_workset_reduce_task(payload: WorksetReducePayload) -> WorksetReduceRun:
-    """Re-reduce affected groups; pure function of its payload.
-
-    Mirrors the full-sweep key plan of
-    :func:`repro.iterative.engine.execute_iter_reduce_task`: with
-    replicated state only grouped K2s reduce; with co-partitioned state
-    every state key reduces even on empty input.
-    """
-    algorithm = payload.algorithm
-    outputs: List[Tuple[Any, Any]] = []
-    dropped: List[Any] = []
-    values_processed = 0
-    out_bytes = 0
-    for k2, values, has_edges, in_state in payload.groups:
-        live = has_edges if payload.replicated else (has_edges or in_state)
-        if not live:
-            dropped.append(k2)
-            continue
-        dv_new = algorithm.reduce_instance(k2, values)
-        outputs.append((k2, dv_new))
-        values_processed += len(values) + 1
-        out_bytes += record_size(k2, dv_new)
-    return WorksetReduceRun(
-        partition=payload.partition,
-        outputs=outputs,
-        dropped=dropped,
-        values_processed=values_processed,
-        out_bytes=out_bytes,
-    )
-
-
-# ---------------------------------------------------------------------- #
 # the runner                                                             #
 # ---------------------------------------------------------------------- #
 
@@ -295,8 +183,7 @@ class WorksetRunner:
 
     Owns the mutable pieces a delta iteration needs across supersteps:
     the insertion-ordered per-K2 edge cache, the per-source emission
-    bookkeeping, the cached reduce outputs, the dirty frontier and the
-    convergence filter.  :meth:`seed` runs the mandatory first full sweep
+    bookkeeping, the dirty frontier and the convergence filter.  :meth:`seed` runs the mandatory first full sweep
     (every vertex is dirty at iteration 0); :meth:`step` runs one delta
     superstep over the current workset.
 
@@ -338,8 +225,6 @@ class WorksetRunner:
         self._edges: Dict[Any, Dict[EdgeId, Any]] = {}
         #: (partition, DK) -> ``[(K2, EdgeId), ...]`` emission bookkeeping.
         self._sources: Dict[Tuple[int, Any], List[Tuple[Any, EdgeId]]] = {}
-        #: K2 -> latest reduce output (dropped when the group dies).
-        self._outputs: Dict[Any, Any] = {}
         self._iteration = 0
 
     # ------------------------------- cache ----------------------------- #
@@ -402,50 +287,59 @@ class WorksetRunner:
         Returns ``(affected K2s, scheduled map tasks, touched vertices)``.
         """
         cost = self.cluster.cost_model
-        payloads: List[WorksetMapPayload] = []
-        touched = 0
+        algorithm = self.algorithm
+        payloads: List[IterMapPayload] = []
+        reads: Dict[int, int] = {}
         for p in sorted(per_partition):
-            group_items: List[Tuple[Any, Any, List[Tuple[Any, Any]]]] = []
+            groups: List[Tuple[Any, Any, List[Tuple[Any, Any]]]] = []
             part = self.parts.groups[p]
+            read_bytes = 0
             for dk in sorted(per_partition[p], key=sort_key):
                 pairs = part.get(dk)
                 if not pairs:
                     continue
-                group_items.append((dk, self.state.get(dk), list(pairs)))
-                touched += 1
-            if group_items:
+                dv = self.state.get(dk)
+                if dv is None:
+                    dv = algorithm.init_state_value(dk)
+                pairs = list(pairs)
+                read_bytes += record_size(dk, dv) + records_size(pairs)
+                groups.append((dk, dv, pairs))
+            if groups:
+                reads[p] = read_bytes
+                # One bucket: the cache is keyed by K2, and the reduce
+                # stage routes only the K2s a superstep affected.
                 payloads.append(
-                    WorksetMapPayload(
+                    IterMapPayload(
                         partition=p,
-                        groups=group_items,
-                        algorithm=self.algorithm,
+                        groups=groups,
+                        algorithm=algorithm,
+                        num_partitions=1,
+                        with_mk=True,
                     )
                 )
-        runs = self.backend.run_tasks(execute_workset_map_task, payloads)
+        runs = self.backend.run_tasks(execute_iter_map_task, payloads)
 
         affected: Set[Any] = set()
         costs: Dict[int, float] = {}
-        reads: Dict[int, int] = {}
-        scheduled = {p: None for p in (r.partition for r in runs)}
-        for run in sorted(runs, key=lambda r: r.partition):
-            for dk, emissions in run.per_source:
-                self._apply_source(run.partition, dk, emissions, affected)
-            task_cost = cost.disk_read_time(run.read_bytes)
-            task_cost += cost.cpu_time(run.pairs_done, self.algorithm.map_cpu_weight)
-            task_cost += cost.sort_time(run.emitted)
-            task_cost += cost.disk_write_time(run.emitted_bytes)
-            costs[run.partition] = task_cost
-            reads[run.partition] = run.read_bytes
+        for run, payload in zip(sorted(runs, key=lambda r: r.partition), payloads):
+            p = run.partition
+            for (dk, _, _), emissions in zip(payload.groups, run.per_source()):
+                self._apply_source(p, dk, emissions, affected)
+            pairs_done = sum(len(pairs) for _, _, pairs in payload.groups)
+            costs[p] = map_task_cost(
+                cost, algorithm, reads[p], pairs_done, run.emitted, run.emitted_bytes
+            )
             self.counters.add("map_output_records", run.emitted)
             self.counters.add("map_output_bytes", run.emitted_bytes)
-            self.counters.add("map_input_pairs", run.pairs_done)
+            self.counters.add("map_input_pairs", pairs_done)
         specs = workset_task_specs(
-            {p: [] for p in scheduled}, costs, reads, "map", self._iteration
+            {p: [] for p in reads}, costs, reads, "map", self._iteration
         )
         if specs:
             times.map = schedule_shard_stage(
                 specs, self.placement, cost
             ).elapsed_s
+        touched = sum(len(payload.groups) for payload in payloads)
         return affected, len(specs), touched
 
     def _run_reduce_stage(
@@ -453,11 +347,15 @@ class WorksetRunner:
         affected: Set[Any],
         times: StageTimes,
     ) -> Tuple[List[Tuple[Any, Any]], int]:
-        """Re-reduce the affected K2 groups and refresh the output cache.
+        """Re-reduce the affected K2 groups through the prime Reduce kernel.
 
-        Returns the refreshed ``(K2, DV)`` outputs in full-sweep order
-        (reduce partitions ascending, K2-sorted within each) and the
-        number of reduce tasks scheduled.
+        Each affected K2's cached contributions ship as ``(K2, MK, V2)``
+        records in cache order; with co-partitioned state the affected
+        K2s that are still state keys ride along as extra keys, so they
+        reduce even with no contributions left.  Returns the refreshed
+        ``(K2, DV)`` outputs in full-sweep order (reduce partitions
+        ascending, K2-sorted within each) and the number of reduce tasks
+        scheduled.
         """
         cost = self.cluster.cost_model
         n = self.parts.num_partitions
@@ -466,60 +364,45 @@ class WorksetRunner:
         for k2 in sorted(affected, key=sort_key):
             per_q.setdefault(partition_for(k2, n), []).append(k2)
 
-        payloads: List[WorksetReducePayload] = []
-        shuffle_bytes: Dict[int, int] = {}
-        shuffle_records: Dict[int, int] = {}
+        payloads: List[IterReducePayload] = []
+        reads: Dict[int, int] = {}
         for q in sorted(per_q):
-            groups: List[Tuple[Any, List[Any], bool, bool]] = []
-            volume = 0
-            records = 0
+            records: List[Tuple[Any, int, Any]] = []
             for k2 in per_q[q]:
                 bucket = self._edges.get(k2)
-                values = list(bucket.values()) if bucket else []
-                volume += sum(record_size(k2, v2) for v2 in values)
-                records += len(values)
-                groups.append(
-                    (
-                        k2,
-                        values,
-                        bool(bucket),
-                        (not replicated) and k2 in self.state,
-                    )
-                )
-            shuffle_bytes[q] = volume
-            shuffle_records[q] = records
+                if bucket:
+                    records += [(k2, mk, v2) for (mk, _), v2 in bucket.items()]
+            reads[q] = sum(record_size(k2, v2) for k2, _, v2 in records)
             payloads.append(
-                WorksetReducePayload(
+                IterReducePayload(
                     partition=q,
-                    groups=groups,
+                    records=records,
                     algorithm=self.algorithm,
+                    extra_keys=(
+                        [] if replicated else [k2 for k2 in per_q[q] if k2 in self.state]
+                    ),
                     replicated=replicated,
+                    capture_chunks=False,
                 )
             )
-        runs = self.backend.run_tasks(execute_workset_reduce_task, payloads)
+        runs = self.backend.run_tasks(execute_iter_reduce_task, payloads)
 
         outputs: List[Tuple[Any, Any]] = []
         costs: Dict[int, float] = {}
-        reads: Dict[int, int] = {}
-        for run in sorted(runs, key=lambda r: r.partition):
+        for run, payload in zip(sorted(runs, key=lambda r: r.partition), payloads):
             q = run.partition
-            for k2, dv in run.outputs:
-                self._outputs[k2] = dv
-            for k2 in run.dropped:
-                self._outputs.pop(k2, None)
             outputs.extend(run.outputs)
-            volume = shuffle_bytes.get(q, 0)
+            volume = reads[q]
             fetch = cost.disk_read_time(volume // max(1, n)) + cost.net_time(
                 volume - volume // max(1, n), transfers=max(1, n - 1)
             )
             task_cost = fetch
-            task_cost += cost.sort_time(shuffle_records.get(q, 0))
+            task_cost += cost.sort_time(len(payload.records))
             task_cost += cost.cpu_time(
                 run.values_processed, self.algorithm.reduce_cpu_weight
             )
             task_cost += cost.disk_write_time(run.out_bytes)
             costs[q] = task_cost
-            reads[q] = volume
             self.counters.add("shuffle_bytes", volume)
             self.counters.add("reduce_groups", len(run.outputs))
             self.counters.add("reduce_values", run.values_processed)

@@ -28,16 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters, JobMetrics, StageTimes
 from repro.cluster.scheduler import TaskSpec, schedule_stage
 from repro.common.kvpair import group_sorted, merge_sorted_runs, sort_records
 from repro.common.sizeof import record_size
-from repro.dfs.filesystem import Block, DistributedFS
-from repro.execution import ExecutorSelector, ExecutorSpec
+from repro.dfs.filesystem import Block
+from repro.execution import ExecutorEngine
 from repro.mapreduce.api import Context, Mapper, Partitioner, Reducer
 from repro.mapreduce.job import JobConf, JobResult, MapperFactory, ReducerFactory
-from repro.resilience.policy import RetryPolicy
 
 #: A source of map input: records plus their physical placement metadata.
 @dataclass
@@ -256,7 +254,7 @@ def execute_reduce_task(payload: ReduceTaskPayload) -> ReduceTaskRun:
     )
 
 
-class MapReduceEngine:
+class MapReduceEngine(ExecutorEngine):
     """Runs :class:`JobConf` jobs on a simulated cluster.
 
     Args:
@@ -264,34 +262,6 @@ class MapReduceEngine:
             backend instance, or ``None`` for the library default);
             individual jobs override it via ``JobConf.executor``.
     """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        dfs: DistributedFS,
-        executor: ExecutorSpec = None,
-    ) -> None:
-        self.cluster = cluster
-        self.dfs = dfs
-        self.executors = ExecutorSelector(executor, cost_model=cluster.cost_model)
-
-    def backend_for(self, jobconf: JobConf):
-        """The execution backend this job's task batches run on.
-
-        The returned backend is a
-        :class:`repro.resilience.ResilientExecutor` enforcing the job's
-        retry/timeout/speculation knobs (environment defaults when the
-        job does not set them).
-        """
-        return self.executors.get(
-            jobconf.executor,
-            jobconf.max_workers,
-            resilience=RetryPolicy.for_job(jobconf),
-        )
-
-    def close(self) -> None:
-        """Shut down any host worker pools the engine created."""
-        self.executors.close()
 
     # ------------------------------------------------------------------ #
     # public entry point                                                 #

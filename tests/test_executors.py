@@ -142,6 +142,7 @@ def test_payloads_are_picklable():
     """The engine task functions and payload types must cross processes."""
     from repro.iterative.engine import (
         IterMapPayload,
+        IterReducePayload,
         execute_iter_map_task,
         execute_iter_reduce_task,
     )
@@ -161,11 +162,31 @@ def test_payloads_are_picklable():
     )
     run = execute_map_task(pickle.loads(pickle.dumps(payload)))
     assert run.emitted_records == 2
+
+    # The one prime Map kernel: a known DV and a None DV (initial value).
     iter_payload = IterMapPayload(
-        partition=0, groups=[], state_slice={}, algorithm=PageRank(),
-        num_partitions=2, capture_chunks=False,
+        partition=0,
+        groups=[(0, 0.5, [(0, ((1, 2), ""))]), (3, None, [(3, ((4,), ""))])],
+        algorithm=PageRank(), num_partitions=2, with_mk=True,
     )
-    assert pickle.loads(pickle.dumps(iter_payload)).num_partitions == 2
+    map_run = execute_iter_map_task(pickle.loads(pickle.dumps(iter_payload)))
+    map_run = pickle.loads(pickle.dumps(map_run))
+    per_source = list(map_run.per_source())
+    assert [sorted(k2 for k2, _, _ in recs) for recs in per_source] == [[1, 2], [4]]
+    assert map_run.emitted == 3
+    records = [rec for recs in map_run.per_q for rec in recs]
+    assert all(mk != 0 for _, mk, _ in records)
+    assert sum(map_run.bytes_per_q) == map_run.emitted_bytes > 0
+
+    # The one prime Reduce kernel, fed the map kernel's records.
+    reduce_payload = IterReducePayload(
+        partition=0, records=records, algorithm=PageRank(), extra_keys=[7],
+        replicated=False, capture_chunks=True,
+    )
+    reduce_run = execute_iter_reduce_task(pickle.loads(pickle.dumps(reduce_payload)))
+    reduce_run = pickle.loads(pickle.dumps(reduce_run))
+    assert [k2 for k2, _ in reduce_run.outputs] == [1, 2, 4, 7]
+    assert [k2 for k2, _ in reduce_run.chunk_list] == [1, 2, 4]
 
 
 # ---------------------------------------------------------------------- #

@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms.pagerank import PageRank
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import StageTimes
+from repro.common.errors import JobError
 from repro.datasets.graphs import powerlaw_web_graph
 from repro.faults.context import FaultContext
 from repro.faults.injection import FaultInjector, FaultSpec
@@ -163,6 +164,19 @@ class TestEngineIntegration:
         _, context = self._run(injector)
         # 8 map + 8 reduce tasks per iteration, 4 iterations.
         assert len(context.timeline.events) == 8 * 2 * 4
+
+    def test_fault_context_rejected_with_workset(self):
+        # Workset supersteps never charge injected faults, so a faulted
+        # workset run would silently report fault-free times.
+        graph = powerlaw_web_graph(60, 4, seed=2)
+        cluster, dfs = fresh_cluster(seed=2)
+        engine = IterMREngine(cluster, dfs)
+        job = IterativeJob(PageRank(), graph, num_partitions=4,
+                           max_iterations=2, workset=True)
+        context = FaultContext(FaultInjector([FaultSpec(0, "map", 0)]))
+        with pytest.raises(JobError, match="workset"):
+            engine.run(job, fault_context=context)
+        assert context.timeline.events == []
 
 
 class TestStoreHookEdgeCases:
